@@ -8,7 +8,7 @@
 //
 //   - Platform assembly (fabric, HBM + Infinity Cache, coherence, XCD/CCD
 //     compute, power) — internal/core
-//   - Discrete-event kernel, product configs, physical chiplet
+//   - Simulated-time kernel, product configs, physical chiplet
 //     construction, thermal solver, partitioning, node topologies —
 //     internal/{sim,config,chiplet,thermal,partition,topology}
 //   - Programming-model programs and application workload proxies —

@@ -7,6 +7,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every scratch file lives in one work dir, and every process a stage
+# backgrounds is recorded in bg_pids. The single EXIT trap kills whatever
+# is still running and removes the dir, so a failing check never leaves
+# a daemon behind.
+work=$(mktemp -d)
+bg_pids=()
+cleanup() {
+    for pid in ${bg_pids[@]+"${bg_pids[@]}"}; do
+        kill -KILL "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    done
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -24,14 +39,19 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== examples =="
+# Every program under examples/ must run to completion.
+for example in examples/*/; do
+    go run "./$example" >/dev/null
+done
+
 echo "== engine bench gate =="
 # Engine microbenchmarks vs the committed BENCH_engine.json baseline:
 # >20% ns/op regression (median of 3 short runs) or any allocs/op
 # increase on the zero-alloc hot paths fails the build. The fresh
 # measurement JSON is emitted next to the raw output for inspection.
-tmp_bench=$(mktemp)
-tmp_bench_json=$(mktemp)
-trap 'rm -f "$tmp_bench" "$tmp_bench_json"' EXIT
+tmp_bench="$work/bench"
+tmp_bench_json="$work/bench_json"
 go test ./internal/sim/ -run '^$' -bench '^BenchmarkEngine' -benchtime 0.25s -count 3 | tee "$tmp_bench"
 python3 - "$tmp_bench" BENCH_engine.json "$tmp_bench_json" <<'EOF'
 import json, re, statistics, sys
@@ -98,8 +118,7 @@ fi
 echo "== telemetry smoke =="
 # A sampled run must emit a parseable series file that names a known
 # probe and carries the pinned schema versions.
-tmp_telemetry=$(mktemp)
-trap 'rm -f "$tmp_telemetry"' EXIT
+tmp_telemetry="$work/telemetry"
 go run ./cmd/repro -exp rasecc -telemetry "$tmp_telemetry" -sample-ns 100000 >/dev/null
 python3 - "$tmp_telemetry" <<'EOF'
 import json, sys
@@ -118,9 +137,8 @@ echo "== spans smoke =="
 # A traced run must emit a parseable span file carrying the pinned
 # schemas, an attribution report whose per-stage shares sum to ~1, and
 # identical bytes at -parallel 1 and -parallel 8.
-tmp_spans1=$(mktemp)
-tmp_spans8=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8"' EXIT
+tmp_spans1="$work/spans1"
+tmp_spans8="$work/spans8"
 go run ./cmd/repro -exp spanras -parallel 1 -spans "$tmp_spans1" >/dev/null
 go run ./cmd/repro -exp spanras -parallel 8 -spans "$tmp_spans8" >/dev/null
 cmp "$tmp_spans1" "$tmp_spans8"
@@ -150,8 +168,7 @@ echo "== audit smoke =="
 # The full evaluation must run clean under strict invariant auditing:
 # every conservation ledger balances on every experiment, and the
 # manifest carries per-run audit reports with zero violations.
-tmp_audit_manifest=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest"' EXIT
+tmp_audit_manifest="$work/audit_manifest"
 go run ./cmd/repro -audit -strict -manifest "$tmp_audit_manifest" >/dev/null
 python3 - "$tmp_audit_manifest" <<'EOF'
 import json, sys
@@ -170,9 +187,8 @@ echo "== chaos sweep =="
 # Seeded random fault storms must complete (ok or degraded, exit 0) with
 # clean audits, and the report file must be byte-identical at -parallel 1
 # and -parallel 8.
-tmp_chaos1=$(mktemp)
-tmp_chaos8=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8"' EXIT
+tmp_chaos1="$work/chaos1"
+tmp_chaos8="$work/chaos8"
 go run ./cmd/repro -chaos-seed 20260806 -chaos-count 16 -strict -parallel 1 -audit-out "$tmp_chaos1" >/dev/null
 go run ./cmd/repro -chaos-seed 20260806 -chaos-count 16 -strict -parallel 8 -audit-out "$tmp_chaos8" >/dev/null
 cmp "$tmp_chaos1" "$tmp_chaos8"
@@ -194,12 +210,12 @@ echo "== apusimd smoke =="
 # The daemon must serve the job API end to end: an identical resubmission
 # must be served from cache with byte-identical manifest bytes and the
 # /v1/metrics counters must say so, and SIGTERM must drain cleanly.
-tmp_apusimd=$(mktemp)
-tmp_apusimd_log=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log"' EXIT
+tmp_apusimd="$work/apusimd"
+tmp_apusimd_log="$work/apusimd_log"
 go build -o "$tmp_apusimd" ./cmd/apusimd
 "$tmp_apusimd" -listen 127.0.0.1:0 2>"$tmp_apusimd_log" &
 apusimd_pid=$!
+bg_pids+=("$apusimd_pid")
 apusimd_addr=""
 for _ in $(seq 1 100); do
     apusimd_addr=$(sed -n 's/^apusimd: listening on //p' "$tmp_apusimd_log")
@@ -270,14 +286,15 @@ echo "== apusimd crash-recovery smoke =="
 # the completed job's manifest must come back byte-identical from the
 # durable store, every acknowledged job must survive the crash, and the
 # recovery counters must say exactly what happened.
-tmp_apusimd_data=$(mktemp -d)
-tmp_apusimd_log2=$(mktemp)
-tmp_apusimd_m1=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1"; rm -rf "$tmp_apusimd_data"' EXIT
+tmp_apusimd_data="$work/apusimd_data"
+mkdir "$tmp_apusimd_data"
+tmp_apusimd_log2="$work/apusimd_log2"
+tmp_apusimd_m1="$work/apusimd_m1"
 
 start_apusimd() {
     "$tmp_apusimd" -listen 127.0.0.1:0 -workers 1 -data-dir "$tmp_apusimd_data" 2>"$1" &
     apusimd_pid=$!
+    bg_pids+=("$apusimd_pid")
     apusimd_addr=""
     for _ in $(seq 1 100); do
         apusimd_addr=$(sed -n 's/^apusimd: listening on //p' "$1" | tail -n 1)
@@ -398,13 +415,14 @@ echo "== apusimd disk-fault smoke =="
 # re-arm durability once the disk heals on schedule.
 go test -race ./internal/service/ -run 'TestDiskFaultStorm|TestFailedJournalFsync' -count=1
 
-tmp_fault_data=$(mktemp -d)
-tmp_fault_log=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1" "$tmp_fault_log"; rm -rf "$tmp_apusimd_data" "$tmp_fault_data"' EXIT
+tmp_fault_data="$work/fault_data"
+mkdir "$tmp_fault_data"
+tmp_fault_log="$work/fault_log"
 "$tmp_apusimd" -listen 127.0.0.1:0 -workers 1 -data-dir "$tmp_fault_data" \
     -chaos-seed 20260808 -chaos-enospc-bytes 4096 -chaos-heal-after 6s \
     -durability-probe 100ms 2>"$tmp_fault_log" &
 apusimd_pid=$!
+bg_pids+=("$apusimd_pid")
 apusimd_addr=""
 for _ in $(seq 1 100); do
     apusimd_addr=$(sed -n 's/^apusimd: listening on //p' "$tmp_fault_log")
@@ -488,12 +506,12 @@ echo "== apusimd observability smoke =="
 # expose workers and the flight recorder; the latency histograms must
 # record the run; structured JSON logs must carry the trace ID; and
 # pprof must be unreachable unless -debug-addr names a listener.
-tmp_obs_log=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1" "$tmp_obs_log"; rm -rf "$tmp_apusimd_data"' EXIT
+tmp_obs_log="$work/obs_log"
 
 # Pass 1: no -debug-addr — the API port must not serve pprof.
 "$tmp_apusimd" -listen 127.0.0.1:0 -log-format json 2>"$tmp_obs_log" &
 apusimd_pid=$!
+bg_pids+=("$apusimd_pid")
 apusimd_addr=""
 for _ in $(seq 1 100); do
     apusimd_addr=$(sed -n 's/^apusimd: listening on //p' "$tmp_obs_log")
@@ -591,6 +609,7 @@ grep -q '"trace_id"' "$tmp_obs_log"
 : >"$tmp_obs_log"
 "$tmp_apusimd" -listen 127.0.0.1:0 -debug-addr 127.0.0.1:0 2>"$tmp_obs_log" &
 apusimd_pid=$!
+bg_pids+=("$apusimd_pid")
 apusimd_addr=""
 pprof_addr=""
 for _ in $(seq 1 100); do

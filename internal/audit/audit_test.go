@@ -95,7 +95,7 @@ func TestEngineCheckQuiescence(t *testing.T) {
 	eng := sim.NewEngine()
 	Engine(a, eng)
 
-	eng.ScheduleNamed("tick", 10, func(sim.Time) {})
+	eng.Schedule(10, eng.Class("tick"), func(sim.Time) {})
 	if rep := a.Audit(eng.Now()); rep.OK() {
 		t.Fatal("audit passed with a live pending event")
 	}
@@ -104,7 +104,7 @@ func TestEngineCheckQuiescence(t *testing.T) {
 		t.Fatalf("audit failed on a drained engine: %v", rep.Violations)
 	}
 	// A sentinel parked at Forever is quiescent by design.
-	eng.ScheduleNamed("sentinel", sim.Forever, func(sim.Time) {})
+	eng.Schedule(sim.Forever, eng.Class("sentinel"), func(sim.Time) {})
 	if rep := a.Audit(eng.Now()); !rep.OK() {
 		t.Fatalf("audit failed with only a Forever sentinel pending: %v", rep.Violations)
 	}

@@ -27,11 +27,12 @@ func livelockOnFirstAttempt(id string, engines *[]*sim.Engine) Experiment {
 			mu.Unlock()
 			eng := ctx.Engine()
 			if n == 1 {
+				cls := eng.Class("spin")
 				var spin func(sim.Time)
-				spin = func(now sim.Time) { eng.ScheduleNamed("spin", now, spin) }
-				eng.ScheduleNamed("spin", 10, spin)
+				spin = func(now sim.Time) { eng.Schedule(now, cls, spin) }
+				eng.Schedule(10, cls, spin)
 			} else {
-				eng.ScheduleNamed("tick", 10, func(sim.Time) {})
+				eng.Schedule(10, eng.Class("tick"), func(sim.Time) {})
 			}
 			eng.RunAll()
 			return "ok\n", nil

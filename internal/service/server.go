@@ -578,7 +578,13 @@ func (s *Server) simulate(job *Job) (runner.Result, []byte) {
 	}
 	suite.Wall = 0
 	for i := range suite.Results {
-		suite.Results[i].Wall = 0
+		r := &suite.Results[i]
+		r.Wall = 0
+		if r.Telemetry != nil && r.Telemetry.Engine != nil {
+			for j := range r.Telemetry.Engine.Classes {
+				r.Telemetry.Engine.Classes[j].WallNS = 0
+			}
+		}
 	}
 	var buf bytes.Buffer
 	if err := runner.BuildManifest(suite).WriteJSON(&buf); err != nil {

@@ -54,11 +54,8 @@ func (e *Engine) ClassName(c Class) string {
 	return e.classes[c].name
 }
 
-// Classes reports how many classes are interned (ClassDefault included).
-func (e *Engine) Classes() int { return len(e.classes) }
-
-// Hook observes engine execution. An observer installed with SetHook or
-// AddHook receives one callback per fired event with the event's interned
+// Hook observes engine execution. An observer installed with AddHook
+// receives one callback per fired event with the event's interned
 // class handle, its simulated firing time, and the wall-clock cost of its
 // handler. The engine measures handler wall time only while a hook is
 // installed or profiling is enabled, so an unobserved run pays nothing.
@@ -67,69 +64,14 @@ type Hook interface {
 	EventDone(class Class, at Time, wall time.Duration)
 }
 
-// SetHook installs (or, with nil, removes) the execution observer,
-// replacing anything installed before. Components that must coexist with
-// other observers (the runtime watchdog, ad-hoc tracers) use AddHook.
-func (e *Engine) SetHook(h Hook) { e.hook = h }
-
 // AddHook chains h behind any observer already installed: every hook
 // receives every EventDone callback, in installation order. This is the
 // seam that lets several observers share one engine without clobbering
 // each other.
 func (e *Engine) AddHook(h Hook) {
-	if h == nil {
-		return
+	if h != nil {
+		e.hooks = append(e.hooks, h)
 	}
-	if e.hook == nil {
-		e.hook = h
-		return
-	}
-	if m, ok := e.hook.(*multiHook); ok {
-		m.hooks = append(m.hooks, h)
-		return
-	}
-	e.hook = &multiHook{hooks: []Hook{e.hook, h}}
-}
-
-// multiHook fans one EventDone callback out to several observers.
-type multiHook struct{ hooks []Hook }
-
-func (m *multiHook) EventDone(class Class, at Time, wall time.Duration) {
-	for _, h := range m.hooks {
-		h.EventDone(class, at, wall)
-	}
-}
-
-// NamedHook is the pre-Class observer interface: one callback per fired
-// event carrying the class name as a string.
-//
-// Deprecated: implement Hook (which receives interned Class handles —
-// resolve names with Engine.ClassName) and install it with AddHook, or
-// use EnableProfiling + ProfileSnapshot for aggregate per-class counters.
-// NamedHook pays a per-event name lookup that Hook avoids.
-type NamedHook interface {
-	EventDone(class string, at Time, wall time.Duration)
-}
-
-// namedHookAdapter bridges a deprecated NamedHook onto the Class-handle
-// hook seam by resolving each event's class name.
-type namedHookAdapter struct {
-	e *Engine
-	h NamedHook
-}
-
-func (a *namedHookAdapter) EventDone(class Class, at Time, wall time.Duration) {
-	a.h.EventDone(a.e.ClassName(class), at, wall)
-}
-
-// AddNamedHook chains a string-keyed observer behind any installed hook.
-//
-// Deprecated: implement Hook and use AddHook; see NamedHook.
-func (e *Engine) AddNamedHook(h NamedHook) {
-	if h == nil {
-		return
-	}
-	e.AddHook(&namedHookAdapter{e: e, h: h})
 }
 
 // ClassProfile is one class's aggregate execution counters, snapshotted
@@ -155,9 +97,6 @@ type ClassProfile struct {
 // (the default) the dispatch loop takes no timestamps and touches no
 // counters, so unprofiled runs pay nothing.
 func (e *Engine) EnableProfiling() { e.profiling = true }
-
-// ProfilingEnabled reports whether EnableProfiling was called.
-func (e *Engine) ProfilingEnabled() bool { return e.profiling }
 
 // ProfileSnapshot returns the aggregate counters of every class that has
 // fired at least one event, sorted by class name so output built from it

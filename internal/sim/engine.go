@@ -1,7 +1,14 @@
-// Package sim provides the discrete-event simulation kernel that underpins
-// every timing model in the repository: the Infinity Fabric network, the HBM
-// memory system, the GPU and CPU compute models, and the power governor all
-// schedule work on a shared Engine.
+// Package sim provides the simulated-time kernel shared by every model in
+// the repository: the picosecond Time type, the seeded RNG, and the Engine,
+// a deterministic event timeline.
+//
+// The timing models do not run on the Engine. Infinity Fabric links, HBM
+// channels, Infinity Cache slices and CU slots are busy-until reservations:
+// each request computes its completion time from the resource's next free
+// instant and returns it. The Engine carries the few events that happen at
+// a point in simulated time rather than per request — RAS fault injection,
+// telemetry sampling and run milestones — a few hundred events for the
+// whole evaluation suite.
 //
 // Time is measured in integer picoseconds (type Time) so that link
 // serialization delays, cache hit latencies, and multi-GHz clock periods can
@@ -9,13 +16,10 @@
 // the same instant fire in the order they were scheduled, which makes every
 // simulation in this repository fully deterministic for a given seed.
 //
-// The event queue is a two-tier calendar — a timing wheel of FIFO buckets
-// over a near-future window plus a far-future overflow heap (see wheel.go)
-// — with value-typed event slots recycled through a free list, so
-// steady-state scheduling allocates nothing. Handler classes are interned
-// Class handles (eng.Class("hbm.access") once at setup, integer IDs on the
-// hot path); ScheduleNamed and the string NamedHook remain as deprecated
-// wrappers for callers that have not migrated.
+// The event queue is a binary min-heap over value-typed event slots
+// recycled through a free list, so steady-state scheduling allocates
+// nothing (see queue.go). Handler classes are interned Class handles
+// (eng.Class("ras.fault") once at setup, integer IDs on the hot path).
 package sim
 
 import (
@@ -33,7 +37,8 @@ type EventID struct {
 	gen uint32
 }
 
-// Engine is a deterministic discrete-event simulator.
+// Engine is a deterministic event timeline: handlers fire in simulated
+// time order, FIFO among equal timestamps.
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
@@ -44,37 +49,16 @@ type Engine struct {
 	classes  []classInfo
 	classIdx map[string]Class
 
-	// Event slot arena and free list (see wheel.go).
+	// Event slot arena, its free list, and the min-heap of queued slots
+	// (see queue.go).
 	events []event
 	free   []int32
+	heap   []int32
 
-	// Dispatch buffer: the expired bucket currently being fired, sorted
-	// by (at, seq) and consumed from dispatchPos. Everything with
-	// at < dispatchEnd lives here.
-	dispatch    []int32
-	dispatchPos int
-	dispatchEnd Time
+	fired uint64
+	hwm   int
 
-	// Timing wheel over [wheelStart, windowEnd).
-	wheelStart Time
-	windowEnd  Time
-	buckets    [wheelSize][]int32
-	occupied   [wheelSize / 64]uint64
-	nearCount  int
-
-	// Far-future overflow (min-heap by (at, seq)) and Forever sentinels.
-	overflow []int32
-	forever  []int32
-
-	liveCount  int // queued, not cancelled (Forever sentinels included)
-	liveFinite int // queued, not cancelled, at != Forever
-	deadCount  int // cancelled, awaiting reclamation
-
-	fired     uint64
-	cancelled uint64
-	hwm       int
-
-	hook      Hook
+	hooks     []Hook
 	profiling bool
 }
 
@@ -86,38 +70,31 @@ func NewEngine() *Engine {
 		classIdx: map[string]Class{DefaultClass: ClassDefault},
 		// Arena slot 0 is a permanent dummy (never allocated, never freed)
 		// so the zero EventID{idx: 0} can never match a real event.
-		events:    make([]event, 1),
-		windowEnd: windowSpan,
+		events: []event{{pos: -1}},
 	}
 }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of events still queued (including cancelled
-// events not yet reaped).
-func (e *Engine) Pending() int { return e.liveCount + e.deadCount }
+// Pending reports the number of events still queued (Forever sentinels
+// included; cancelled events leave the queue at once).
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Fired reports the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Cancelled reports the total number of events cancelled so far.
-func (e *Engine) Cancelled() uint64 { return e.cancelled }
-
-// Drained reports whether no live events remain: the queue is empty or
-// holds only cancelled events awaiting reclamation (which Pending still
-// counts).
-func (e *Engine) Drained() bool { return e.liveCount == 0 }
 
 // Quiescent reports whether the engine has reached its natural end state:
 // every remaining live event is parked at Forever (sentinels that never
 // fire) or the queue is drained entirely. A RunAll that returns with the
 // engine non-quiescent left real future work unexecuted — the audit layer
 // flags that as a violated drain invariant.
-func (e *Engine) Quiescent() bool { return e.liveFinite == 0 }
+func (e *Engine) Quiescent() bool {
+	_, ok := e.nextLive()
+	return !ok
+}
 
-// QueueHighWater reports the deepest the event queue has ever been
-// (including cancelled events not yet reaped).
+// QueueHighWater reports the deepest the event queue has ever been.
 func (e *Engine) QueueHighWater() int { return e.hwm }
 
 // Schedule queues fn to run at absolute time at under the interned class
@@ -137,14 +114,10 @@ func (e *Engine) Schedule(at Time, class Class, fn Handler) EventID {
 	e.seq++
 	idx := e.alloc()
 	ev := &e.events[idx]
-	ev.at, ev.seq, ev.fn, ev.class, ev.state = at, e.seq, fn, class, slotQueued
-	e.place(idx)
-	e.liveCount++
-	if at != Forever {
-		e.liveFinite++
-	}
-	if p := e.liveCount + e.deadCount; p > e.hwm {
-		e.hwm = p
+	ev.at, ev.seq, ev.fn, ev.class = at, e.seq, fn, class
+	e.push(idx)
+	if len(e.heap) > e.hwm {
+		e.hwm = len(e.heap)
 	}
 	return EventID{idx: idx, gen: ev.gen}
 }
@@ -157,80 +130,37 @@ func (e *Engine) After(d Time, class Class, fn Handler) EventID {
 	return e.Schedule(e.now+d, class, fn)
 }
 
-// ScheduleNamed is Schedule keyed by a class name string, interning it on
-// every call.
-//
-// Deprecated: intern the class once at setup (cls := eng.Class(name)) and
-// call Schedule(at, cls, fn); this wrapper pays a map lookup per event.
-func (e *Engine) ScheduleNamed(class string, at Time, fn Handler) EventID {
-	return e.Schedule(at, e.Class(class), fn)
-}
-
-// AfterNamed is After keyed by a class name string, interning it on
-// every call.
-//
-// Deprecated: intern the class once at setup and call After(d, cls, fn).
-func (e *Engine) AfterNamed(class string, d Time, fn Handler) EventID {
-	return e.After(d, e.Class(class), fn)
-}
-
-// Cancel marks a previously scheduled event dead. It returns false if the
-// event already fired or was already cancelled. Cancelled Forever
-// sentinels are reclaimed immediately; cancelled finite events are
-// reclaimed when the dispatch loop passes them or when dead slots
-// outnumber live ones (so a schedule/cancel loop cannot grow memory).
+// Cancel removes a previously scheduled event from the queue and frees its
+// slot. It returns false if the event already fired or was already
+// cancelled.
 func (e *Engine) Cancel(id EventID) bool {
 	if id.idx <= 0 || int(id.idx) >= len(e.events) {
 		return false
 	}
 	ev := &e.events[id.idx]
-	if ev.state != slotQueued || ev.gen != id.gen {
+	if ev.pos < 0 || ev.gen != id.gen {
 		return false
 	}
-	e.cancelled++
-	e.liveCount--
-	if ev.at != Forever {
-		e.liveFinite--
-		ev.state = slotDead
-		ev.fn = nil
-		e.deadCount++
-		e.maybePurge()
-	} else {
-		ev.state = slotDead
-		e.cancelForever(id.idx)
-	}
+	e.remove(int(ev.pos))
+	e.reclaim(id.idx)
 	return true
 }
 
-// Step executes the single earliest event. It reports false when no
-// finite events remain (Forever sentinels never fire).
-func (e *Engine) Step() bool {
-	idx, ok := e.nextLive()
-	if !ok {
-		return false
-	}
-	e.fire(idx)
-	return true
-}
-
-// fire pops the dispatch-buffer head (which nextLive just validated),
-// advances the clock, and runs the handler. The slot is reclaimed before
-// the handler runs, so a handler cancelling its own in-flight ID sees a
-// stale generation and reports false — the historical cancel-after-pop
-// contract.
+// fire pops the heap head (which nextLive just returned), advances the
+// clock, and runs the handler. The slot is reclaimed before the handler
+// runs, so a handler cancelling its own in-flight ID sees a stale
+// generation and reports false — the historical cancel-after-pop contract.
 func (e *Engine) fire(idx int32) {
 	ev := &e.events[idx]
 	at, fn, class := ev.at, ev.fn, ev.class
 	if at < e.now {
 		panic(fmt.Sprintf("sim: invariant violated: event %q at %v fires before now %v (time moved backwards)", e.ClassName(class), at, e.now))
 	}
-	e.dispatchPos++
-	e.liveCount--
-	e.liveFinite--
+	e.remove(0)
 	e.reclaim(idx)
 	e.now = at
 	e.fired++
-	if e.hook == nil && !e.profiling {
+	if len(e.hooks) == 0 && !e.profiling {
 		fn(at)
 		return
 	}
@@ -242,8 +172,8 @@ func (e *Engine) fire(idx int32) {
 		ci.fired++
 		ci.wallNS += wall.Nanoseconds()
 	}
-	if e.hook != nil {
-		e.hook.EventDone(class, at, wall)
+	for _, h := range e.hooks {
+		h.EventDone(class, at, wall)
 	}
 }
 

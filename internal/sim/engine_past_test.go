@@ -13,7 +13,7 @@ func TestEngineRunPastDeadlineIsNoOp(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30} {
 		at := at
-		eng.ScheduleNamed("tick", at, func(Time) { fired = append(fired, at) })
+		eng.Schedule(at, eng.Class("tick"), func(Time) { fired = append(fired, at) })
 	}
 	if n := eng.Run(20); n != 2 {
 		t.Fatalf("Run(20) fired %d events, want 2", n)
@@ -37,7 +37,7 @@ func TestEngineRunPastDeadlineIsNoOp(t *testing.T) {
 
 func TestEngineAdvanceToPastIsNoOp(t *testing.T) {
 	eng := NewEngine()
-	eng.ScheduleNamed("tick", 50, func(Time) {})
+	eng.Schedule(50, eng.Class("tick"), func(Time) {})
 	eng.AdvanceTo(40)
 	if eng.Now() != 40 {
 		t.Fatalf("AdvanceTo(40) left clock at %v", eng.Now())
@@ -63,11 +63,11 @@ func TestEngineQuiescent(t *testing.T) {
 	if !eng.Quiescent() {
 		t.Fatal("empty engine is not quiescent")
 	}
-	eng.ScheduleNamed("tick", 10, func(Time) {})
+	eng.Schedule(10, eng.Class("tick"), func(Time) {})
 	if eng.Quiescent() {
 		t.Fatal("engine with a live pending event reports quiescent")
 	}
-	ev := eng.ScheduleNamed("sentinel", Forever, func(Time) {})
+	ev := eng.Schedule(Forever, eng.Class("sentinel"), func(Time) {})
 	eng.Run(10)
 	if !eng.Quiescent() {
 		t.Fatal("engine with only a Forever sentinel left is not quiescent")

@@ -141,8 +141,8 @@ func TestEngineCancelAfterFire(t *testing.T) {
 	if e.Cancel(id) {
 		t.Error("Cancel returned true for an already-fired event")
 	}
-	if e.Cancelled() != 0 {
-		t.Errorf("Cancelled = %d after no-op cancel, want 0", e.Cancelled())
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after no-op cancel, want 0", e.Pending())
 	}
 	if e.Fired() != 1 {
 		t.Errorf("Fired = %d, want 1", e.Fired())
@@ -173,42 +173,39 @@ func TestEngineCancelFromSameTimestampHandler(t *testing.T) {
 	if len(order) != 2 || order[0] != "first" || order[1] != "third" {
 		t.Fatalf("order = %v, want [first third]", order)
 	}
-	if e.Cancelled() != 1 {
-		t.Errorf("Cancelled = %d, want 1", e.Cancelled())
+	if e.Fired() != 2 {
+		t.Errorf("Fired = %d, want 2", e.Fired())
 	}
 }
 
-// TestEngineDrained covers the stats accessors around lazy reaping:
-// cancelled events keep Pending nonzero but the engine is Drained.
+// TestEngineDrained covers the stats accessors as the queue drains:
+// Pending counts exactly the queued events, and a cancelled event leaves
+// the queue at once.
 func TestEngineDrained(t *testing.T) {
 	e := NewEngine()
-	if !e.Drained() {
-		t.Error("fresh engine not Drained")
+	if e.Pending() != 0 {
+		t.Errorf("fresh engine Pending = %d, want 0", e.Pending())
 	}
 	id1 := e.Schedule(10, ClassDefault, func(Time) {})
 	e.Schedule(20, ClassDefault, func(Time) {})
-	if e.Drained() {
-		t.Error("Drained with live events queued")
+	if e.Pending() != 2 {
+		t.Errorf("Pending = %d with two events queued, want 2", e.Pending())
 	}
 	e.Cancel(id1)
-	if e.Drained() {
-		t.Error("Drained while a live event remains")
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d after a cancel, want 1", e.Pending())
 	}
 	e.Run(20)
-	if !e.Drained() {
-		t.Error("not Drained after running all live events")
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after running all live events, want 0", e.Pending())
 	}
-	// A cancelled-but-unreaped event: Pending counts it, Drained ignores it.
 	id3 := e.Schedule(30, ClassDefault, func(Time) {})
 	e.Cancel(id3)
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1 (lazy reap)", e.Pending())
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after cancelling the only event, want 0", e.Pending())
 	}
-	if !e.Drained() {
-		t.Error("not Drained with only dead events queued")
-	}
-	if e.Fired() != 1 || e.Cancelled() != 2 {
-		t.Errorf("Fired/Cancelled = %d/%d, want 1/2", e.Fired(), e.Cancelled())
+	if e.Fired() != 1 {
+		t.Errorf("Fired = %d, want 1", e.Fired())
 	}
 }
 
@@ -271,41 +268,6 @@ func TestFromSeconds(t *testing.T) {
 	if got := FromSeconds(math.NaN()); got != Forever {
 		t.Errorf("FromSeconds(NaN) = %v, want Forever", got)
 	}
-}
-
-func TestClockBasics(t *testing.T) {
-	c := NewClock(1e9) // 1 GHz -> 1 ns period
-	if p := c.Period(); p != Nanosecond {
-		t.Errorf("Period = %v, want 1ns", p)
-	}
-	if d := c.Cycles(1000); d != Microsecond {
-		t.Errorf("Cycles(1000) = %v, want 1µs", d)
-	}
-	if n := c.CyclesAt(Microsecond); n != 1000 {
-		t.Errorf("CyclesAt(1µs) = %d, want 1000", n)
-	}
-}
-
-func TestClockNextEdge(t *testing.T) {
-	c := NewClock(1e9)
-	if e := c.NextEdge(0); e != 0 {
-		t.Errorf("NextEdge(0) = %v", e)
-	}
-	if e := c.NextEdge(1500); e != 2000 {
-		t.Errorf("NextEdge(1.5ns) = %v, want 2ns", e)
-	}
-	if e := c.NextEdge(2000); e != 2000 {
-		t.Errorf("NextEdge(2ns) = %v, want 2ns", e)
-	}
-}
-
-func TestClockInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewClock(0) did not panic")
-		}
-	}()
-	NewClock(0)
 }
 
 // Property: for any batch of event offsets, events fire in nondecreasing
@@ -391,18 +353,6 @@ func TestRNGForkDeterministicAndDecorrelated(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(7)
-	p := r.Perm(50)
-	seen := make(map[int]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -430,7 +380,7 @@ func (h *testHook) EventDone(class Class, _ Time, wall time.Duration) {
 func TestHookObservesClassesAndWall(t *testing.T) {
 	e := NewEngine()
 	h := &testHook{}
-	e.SetHook(h)
+	e.AddHook(h)
 	fault := e.Class("ras.fault")
 	sample := e.Class("telemetry.sample")
 	e.Schedule(10, fault, func(Time) {})
@@ -451,38 +401,6 @@ func TestHookObservesClassesAndWall(t *testing.T) {
 	}
 	if got := e.ClassName(fault); got != "ras.fault" {
 		t.Errorf("ClassName(fault) = %q", got)
-	}
-}
-
-func TestHookRemovable(t *testing.T) {
-	e := NewEngine()
-	h := &testHook{}
-	e.SetHook(h)
-	e.Schedule(1, ClassDefault, func(Time) {})
-	e.SetHook(nil)
-	e.RunAll()
-	if len(h.classes) != 0 {
-		t.Errorf("removed hook still observed %v", h.classes)
-	}
-}
-
-// namedTestHook exercises the deprecated string-keyed observer seam.
-type namedTestHook struct{ classes []string }
-
-func (h *namedTestHook) EventDone(class string, _ Time, _ time.Duration) {
-	h.classes = append(h.classes, class)
-}
-
-func TestDeprecatedNamedHookResolvesClassNames(t *testing.T) {
-	e := NewEngine()
-	h := &namedTestHook{}
-	e.AddNamedHook(h)
-	e.ScheduleNamed("ras.fault", 10, func(Time) {})
-	e.Schedule(5, ClassDefault, func(Time) {})
-	e.RunAll()
-	want := []string{DefaultClass, "ras.fault"}
-	if len(h.classes) != len(want) || h.classes[0] != want[0] || h.classes[1] != want[1] {
-		t.Fatalf("named hook saw %v, want %v", h.classes, want)
 	}
 }
 
@@ -556,7 +474,7 @@ func TestQueueHighWater(t *testing.T) {
 	e.Cancel(ids[4])
 	e.RunAll()
 	if e.QueueHighWater() != 5 {
-		t.Errorf("high water = %d, want 5 (cancelled events count until reaped)", e.QueueHighWater())
+		t.Errorf("high water = %d, want 5 (the depth before the cancel)", e.QueueHighWater())
 	}
 	// Draining does not lower the mark.
 	e.Schedule(e.Now()+1, ClassDefault, func(Time) {})
@@ -567,12 +485,12 @@ func TestQueueHighWater(t *testing.T) {
 
 func TestPastSchedulingPanicNamesEventClass(t *testing.T) {
 	e := NewEngine()
-	e.ScheduleNamed("warmup", 100, func(Time) {})
+	e.Schedule(100, e.Class("warmup"), func(Time) {})
 	e.RunAll()
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("ScheduleNamed in the past did not panic")
+			t.Fatal("Schedule in the past did not panic")
 		}
 		msg := fmt.Sprint(r)
 		if !strings.Contains(msg, `"ras.fault"`) {
@@ -582,7 +500,7 @@ func TestPastSchedulingPanicNamesEventClass(t *testing.T) {
 			t.Errorf("panic %q does not report the requested and current times", msg)
 		}
 	}()
-	e.ScheduleNamed("ras.fault", 50, func(Time) {})
+	e.Schedule(50, e.Class("ras.fault"), func(Time) {})
 }
 
 func TestAfterNegativeDelayPanics(t *testing.T) {

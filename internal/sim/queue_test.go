@@ -6,15 +6,15 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Differential test: the timing-wheel queue vs a trivially-correct
-// reference engine.
+// Differential test: the heap queue vs a trivially-correct reference
+// engine.
 //
 // The reference implementation is the spec made executable: a flat slice
 // of events popped by linear minimum scan over (at, seq). It is obviously
 // correct and obviously slow. The same randomized workload program runs
-// against both engines; any divergence in firing order — across bucket
-// boundaries, window jumps, rewinds, equal-timestamp bursts, overflow
-// promotion, or cancel interleavings — shows up as a trace mismatch.
+// against both engines; any divergence in firing order — across near and
+// far horizons, equal-timestamp bursts, Forever sentinels, or cancel
+// interleavings — shows up as a trace mismatch.
 // ---------------------------------------------------------------------------
 
 // scheduler is the minimal surface the differential driver needs; both
@@ -25,15 +25,15 @@ type scheduler interface {
 	runAll()
 }
 
-// wheelSched adapts *Engine.
-type wheelSched struct{ e *Engine }
+// engineSched adapts *Engine.
+type engineSched struct{ e *Engine }
 
-func (w wheelSched) schedule(at Time, fn func(Time)) func() bool {
-	id := w.e.Schedule(at, ClassDefault, fn)
-	return func() bool { return w.e.Cancel(id) }
+func (s engineSched) schedule(at Time, fn func(Time)) func() bool {
+	id := s.e.Schedule(at, ClassDefault, fn)
+	return func() bool { return s.e.Cancel(id) }
 }
-func (w wheelSched) now() Time { return w.e.Now() }
-func (w wheelSched) runAll()   { w.e.RunAll() }
+func (s engineSched) now() Time { return s.e.Now() }
+func (s engineSched) runAll()   { s.e.RunAll() }
 
 // refEvent / refEngine: the executable spec.
 type refEvent struct {
@@ -88,6 +88,13 @@ func (r *refEngine) runAll() {
 	}
 }
 
+// Workload horizons: a near span of 1024 ps and a far span of 262144 ps.
+// The delays below draw within, across and beyond them.
+const (
+	nearSpan = Time(1024)
+	farSpan  = Time(262144)
+)
+
 // runWorkload executes one deterministic randomized workload program on s
 // and returns the firing trace. Every random draw is keyed to the event's
 // own label-forked stream, so the program is a pure function of the seed
@@ -113,11 +120,11 @@ func runWorkload(s scheduler, seed uint64, roots, depth int) []string {
 				case 0:
 					delta = 0 // same-instant cascade: FIFO among equals
 				case 1:
-					delta = Time(rng.Intn(int(bucketWidth))) // same bucket
+					delta = Time(rng.Intn(int(nearSpan))) // within ~1 ns
 				case 2:
-					delta = Time(rng.Intn(int(windowSpan))) // within the window
+					delta = Time(rng.Intn(int(farSpan))) // within ~262 ns
 				case 3:
-					delta = windowSpan + Time(rng.Intn(int(8*windowSpan))) // overflow tier
+					delta = farSpan + Time(rng.Intn(int(8*farSpan))) // far future
 				case 4:
 					delta = Time(rng.Intn(64)) // dense near-future collisions
 				}
@@ -133,7 +140,7 @@ func runWorkload(s scheduler, seed uint64, roots, depth int) []string {
 	}
 
 	for i := 0; i < roots; i++ {
-		at := Time(root.Intn(int(4 * windowSpan)))
+		at := Time(root.Intn(int(4 * farSpan)))
 		cancels = append(cancels, s.schedule(at, spawn(fmt.Sprintf("r%d", i), depth)))
 	}
 	// A couple of Forever sentinels: they must never fire, and one gets
@@ -157,14 +164,14 @@ func hashLabel(s string) uint64 {
 
 func TestWheelMatchesReferenceEngine(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
-		got := runWorkload(wheelSched{NewEngine()}, seed, 8, 4)
+		got := runWorkload(engineSched{NewEngine()}, seed, 8, 4)
 		want := runWorkload(&refEngine{}, seed, 8, 4)
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: wheel fired %d events, reference fired %d", seed, len(got), len(want))
+			t.Fatalf("seed %d: engine fired %d events, reference fired %d", seed, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing order diverges at event %d: wheel %q, reference %q", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: firing order diverges at event %d: engine %q, reference %q", seed, i, got[i], want[i])
 			}
 		}
 	}
@@ -180,7 +187,7 @@ func TestWheelEqualTimestampFIFO(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		i := i
 		e.Schedule(at, ClassDefault, func(Time) { order = append(order, i) })
-		// Interleave a different instant so the bucket holds a mix.
+		// Interleave a different instant so the queue holds a mix.
 		e.Schedule(at+Nanosecond, ClassDefault, func(Time) {})
 	}
 	// Same-instant events scheduled from a handler fire after all earlier
@@ -202,22 +209,22 @@ func TestWheelEqualTimestampFIFO(t *testing.T) {
 	}
 }
 
-// TestWheelWindowJumpAndRewind forces the idle-window-jump-then-rewind
-// path: drain the wheel, let it jump to a far window, then schedule into
-// the gap between the clock and the jumped window.
+// TestWheelWindowJumpAndRewind schedules into the gap between the clock
+// and a lone far-future event: the gap events must fire first, in time
+// order.
 func TestWheelWindowJumpAndRewind(t *testing.T) {
 	e := NewEngine()
 	var order []Time
 	record := func(now Time) { order = append(order, now) }
-	far := 100 * windowSpan
+	far := 100 * farSpan
 	e.Schedule(far, ClassDefault, record)
 	e.Schedule(1, ClassDefault, record)
-	e.Run(1) // fires the near event; wheel may now jump to the far window
+	e.Run(1) // fires the near event; only the far one is left
 	// Schedule into the gap — earlier than the far event, later than now.
-	e.Schedule(50*windowSpan, ClassDefault, record)
+	e.Schedule(50*farSpan, ClassDefault, record)
 	e.Schedule(2, ClassDefault, record)
 	e.RunAll()
-	want := []Time{1, 2, 50 * windowSpan, far}
+	want := []Time{1, 2, 50 * farSpan, far}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -229,7 +236,7 @@ func TestWheelWindowJumpAndRewind(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Allocation guards: the redesign's whole point.
+// Allocation guards: the slot arena keeps steady state allocation-free.
 // ---------------------------------------------------------------------------
 
 // TestSteadyStateScheduleZeroAllocs pins 0 allocs/op for the canonical
@@ -240,10 +247,10 @@ func TestSteadyStateScheduleZeroAllocs(t *testing.T) {
 	var fn Handler
 	fn = func(now Time) { e.Schedule(now+10, cls, fn) }
 	e.Schedule(0, cls, fn)
-	for i := 0; i < 4096; i++ { // warm the arena, dispatch buffer, free list
-		e.Step()
+	for i := 0; i < 4096; i++ { // warm the arena, heap and free list
+		e.step()
 	}
-	allocs := testing.AllocsPerRun(2000, func() { e.Step() })
+	allocs := testing.AllocsPerRun(2000, func() { e.step() })
 	if allocs != 0 {
 		t.Errorf("steady-state Step allocates %.2f/op, want 0", allocs)
 	}
@@ -268,8 +275,9 @@ func TestScheduleCancelZeroAllocs(t *testing.T) {
 
 // TestCancelledEventsDoNotRetainMemory pins the retention fix: a
 // schedule/cancel loop must recycle slots instead of growing the arena,
-// even with a standing population of live events. The historical bug kept
-// every cancelled event queued until its timestamp was reached.
+// even with a standing population of live events, and a cancelled event
+// must leave the queue at once. The historical bug kept every cancelled
+// event queued until its timestamp was reached.
 func TestCancelledEventsDoNotRetainMemory(t *testing.T) {
 	e := NewEngine()
 	cls := e.Class("churn")
@@ -281,13 +289,13 @@ func TestCancelledEventsDoNotRetainMemory(t *testing.T) {
 	for i := 0; i < 200_000; i++ {
 		e.Cancel(e.Schedule(e.Now()+Microsecond, cls, fn))
 	}
-	// Arena is bounded by live + purge threshold + a purge's worth of
-	// slack, nowhere near the 200k churned events.
-	if got := len(e.events); got > 256 {
-		t.Errorf("arena grew to %d slots after 200k schedule/cancel churn, want bounded (<= 256)", got)
+	// The arena holds the dummy slot 0, the 32 live events and the one
+	// slot the churn recycles, nowhere near the 200k churned events.
+	if got := len(e.events); got != 34 {
+		t.Errorf("arena grew to %d slots after 200k schedule/cancel churn, want 34", got)
 	}
-	if e.Pending() > 32+purgeThreshold+1 {
-		t.Errorf("Pending = %d after churn, want <= live 32 + lazy margin %d", e.Pending(), purgeThreshold+1)
+	if e.Pending() != 32 {
+		t.Errorf("Pending = %d after churn, want exactly the 32 live events", e.Pending())
 	}
 	// The survivors still fire.
 	if fired := e.RunAll(); fired != 32 {
@@ -306,8 +314,8 @@ func TestCancelSelfInsideHandler(t *testing.T) {
 	if got {
 		t.Error("handler cancelled its own in-flight event; Cancel should report false")
 	}
-	if e.Cancelled() != 0 {
-		t.Errorf("Cancelled = %d, want 0", e.Cancelled())
+	if e.Fired() != 1 || e.Pending() != 0 {
+		t.Errorf("Fired/Pending = %d/%d, want 1/0", e.Fired(), e.Pending())
 	}
 }
 
@@ -323,5 +331,47 @@ func TestEventIDZeroValueInert(t *testing.T) {
 	e.RunAll()
 	if !fired {
 		t.Error("first scheduled event never fired")
+	}
+}
+
+// TestCancelMidHeapAndSentinel cancels events from the middle of the heap
+// and a Forever sentinel: the survivors fire in (at, seq) order, and
+// Pending and QueueHighWater count exactly the queued events.
+func TestCancelMidHeapAndSentinel(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	ids := make([]EventID, 12)
+	for i, at := range []Time{70, 30, 110, 10, 90, 50, 30, 120, 20, 80, 60, 100} {
+		i := i
+		ids[i] = e.Schedule(at, ClassDefault, func(Time) { order = append(order, i) })
+	}
+	keep := e.Schedule(Forever, ClassDefault, func(Time) { order = append(order, -1) })
+	drop := e.Schedule(Forever, ClassDefault, func(Time) { order = append(order, -2) })
+	if e.Pending() != 14 || e.QueueHighWater() != 14 {
+		t.Fatalf("Pending/QueueHighWater = %d/%d, want 14/14", e.Pending(), e.QueueHighWater())
+	}
+	for _, i := range []int{5, 1, 9, 2} { // at 50, 30 (first of two), 80, 110
+		if !e.Cancel(ids[i]) {
+			t.Fatalf("Cancel(ids[%d]) reported false for a queued event", i)
+		}
+	}
+	if !e.Cancel(drop) {
+		t.Fatal("Cancel reported false for a queued Forever sentinel")
+	}
+	if e.Pending() != 9 || e.QueueHighWater() != 14 {
+		t.Fatalf("after 5 cancels Pending/QueueHighWater = %d/%d, want 9/14", e.Pending(), e.QueueHighWater())
+	}
+	if fired := e.RunAll(); fired != 8 {
+		t.Fatalf("RunAll fired %d events, want 8", fired)
+	}
+	want := []int{3, 8, 6, 10, 0, 4, 11, 7} // at 10, 20, 30, 60, 70, 90, 100, 120
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("firing order %v, want %v", order, want)
+	}
+	if e.Pending() != 1 || !e.Quiescent() {
+		t.Fatalf("Pending = %d, Quiescent = %v; want only the kept sentinel", e.Pending(), e.Quiescent())
+	}
+	if !e.Cancel(keep) || e.Pending() != 0 {
+		t.Fatalf("cancelling the last sentinel left Pending = %d", e.Pending())
 	}
 }

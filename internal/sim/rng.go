@@ -48,26 +48,3 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// Norm returns an approximately standard-normal value using the sum of 12
-// uniforms (Irwin-Hall), which is plenty for workload jitter modeling.
-func (r *RNG) Norm() float64 {
-	var s float64
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return s - 6
-}
-
-// Perm returns a random permutation of [0, n) via Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -31,11 +31,12 @@ func TestWatchdogLivelockTrips(t *testing.T) {
 	// A handler that reschedules itself at the same instant forever: the
 	// classic livelock. Sim time never advances, so RunAll would spin
 	// until the heat death of the wall clock without the watchdog.
+	cls := eng.Class("livelock")
 	var reschedule func(Time)
 	reschedule = func(now Time) {
-		eng.ScheduleNamed("livelock", now, reschedule)
+		eng.Schedule(now, cls, reschedule)
 	}
-	eng.ScheduleNamed("livelock", 10, reschedule)
+	eng.Schedule(10, cls, reschedule)
 
 	trip := catchTrip(t, func() { eng.RunAll() })
 	if trip == nil {
@@ -59,12 +60,13 @@ func TestWatchdogQueueGrowthTrips(t *testing.T) {
 	// Each event schedules two successors at a later time: exponential
 	// fan-out. The queue must blow past 2×8 = 16 pending well before the
 	// livelock budget is a factor.
+	cls := eng.Class("fanout")
 	var fanout func(Time)
 	fanout = func(now Time) {
-		eng.ScheduleNamed("fanout", now+1, fanout)
-		eng.ScheduleNamed("fanout", now+2, fanout)
+		eng.Schedule(now+1, cls, fanout)
+		eng.Schedule(now+2, cls, fanout)
 	}
-	eng.ScheduleNamed("fanout", 1, fanout)
+	eng.Schedule(1, cls, fanout)
 
 	trip := catchTrip(t, func() { eng.Run(1000) })
 	if trip == nil {
@@ -82,7 +84,7 @@ func TestWatchdogHandlerStallTrips(t *testing.T) {
 	eng := NewEngine()
 	NewWatchdog(WatchdogConfig{MaxHandlerWall: time.Microsecond}).Install(eng)
 
-	eng.ScheduleNamed("stall", 5, func(Time) {
+	eng.Schedule(5, eng.Class("stall"), func(Time) {
 		// Burn more than a microsecond of wall clock inside one handler.
 		deadline := time.Now().Add(2 * time.Millisecond)
 		for time.Now().Before(deadline) {
@@ -107,14 +109,15 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 
 	// A well-behaved chain: every event advances simulated time and the
 	// queue stays shallow.
+	cls := eng.Class("step")
 	var step func(Time)
 	n := 0
 	step = func(now Time) {
 		if n++; n < 500 {
-			eng.ScheduleNamed("step", now+Nanosecond, step)
+			eng.Schedule(now+Nanosecond, cls, step)
 		}
 	}
-	eng.ScheduleNamed("step", 0, step)
+	eng.Schedule(0, cls, step)
 	if trip := catchTrip(t, func() { eng.RunAll() }); trip != nil {
 		t.Fatalf("healthy run tripped the watchdog: %v", trip)
 	}
@@ -129,7 +132,7 @@ func TestWatchdogComposesWithOtherHooks(t *testing.T) {
 	eng.AddHook(hookFunc(func(Class, Time, time.Duration) { seen++ }))
 	NewWatchdog(WatchdogConfig{EventBudget: 50}).Install(eng)
 
-	eng.ScheduleNamed("tick", 1, func(Time) {})
+	eng.Schedule(1, eng.Class("tick"), func(Time) {})
 	eng.RunAll()
 	if seen != 1 {
 		t.Fatalf("earlier hook saw %d events after watchdog install, want 1", seen)

@@ -16,7 +16,8 @@ import (
 // Re-exported observability and fault-injection types, so examples and
 // command-line tools never import internal packages.
 type (
-	// Engine is the discrete-event engine a simulation runs on.
+	// Engine is the event timeline a simulation runs on: RAS faults,
+	// telemetry sampling and milestones.
 	Engine = sim.Engine
 	// Class is an interned handler-class handle: resolve names once at
 	// setup with Engine.Class, pass the integer handle on the hot path.
@@ -98,7 +99,7 @@ const (
 // ClassDefault is the pre-interned default handler class ("event").
 const ClassDefault = sim.ClassDefault
 
-// NewEngine returns a fresh discrete-event engine at time zero.
+// NewEngine returns a fresh event engine at time zero.
 func NewEngine() *Engine { return sim.NewEngine() }
 
 // NewRecorder returns an empty telemetry recorder.
